@@ -14,6 +14,7 @@ See DESIGN.md for when to prefer this engine over ``agent``/``multiset``.
 """
 
 from repro.engine.batch.sampling import (
+    COUNT_DRAW_LIMIT,
     draw_interaction_pairs,
     first_collision,
     sample_block_states,
@@ -21,6 +22,7 @@ from repro.engine.batch.sampling import (
 from repro.engine.batch.simulator import BatchSimulator, BatchStats
 
 __all__ = [
+    "COUNT_DRAW_LIMIT",
     "BatchSimulator",
     "BatchStats",
     "draw_interaction_pairs",

@@ -21,10 +21,18 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "COUNT_DRAW_LIMIT",
     "draw_interaction_pairs",
     "first_collision",
     "sample_block_states",
 ]
+
+#: Exclusive upper bound on the population size of the count engines'
+#: draws.  NumPy's hypergeometric sampler needs both colour counts, and
+#: its "marginals" multivariate-hypergeometric sampler the total, below
+#: 10^9; the Generator wrappers raise past that, the C routines the
+#: native kernels call would not.  Specs check it up front.
+COUNT_DRAW_LIMIT = 10**9
 
 
 def draw_interaction_pairs(

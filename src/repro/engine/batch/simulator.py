@@ -53,7 +53,9 @@ from typing import Callable
 
 import numpy as np
 
+from repro.engine import native
 from repro.engine.batch.sampling import (
+    COUNT_DRAW_LIMIT,
     draw_interaction_pairs,
     first_collision,
     sample_block_states,
@@ -63,7 +65,7 @@ from repro.engine.convergence import (
     StabilizationDetector,
 )
 from repro.engine.interner import StateInterner
-from repro.engine.kernel import make_transition_cache
+from repro.engine.kernel import KernelTransitionCache, make_transition_cache
 from repro.engine.protocol import LEADER, Protocol, State
 from repro.errors import ConvergenceError, SimulationError
 from repro.telemetry.core import cache_summary, telemetry_enabled
@@ -126,6 +128,11 @@ class BatchSimulator:
     ) -> None:
         if n < 2:
             raise SimulationError(f"population needs at least 2 agents, got n={n}")
+        if n >= COUNT_DRAW_LIMIT:
+            raise SimulationError(
+                f"the {self.ENGINE_NAME} engine supports n < "
+                f"{COUNT_DRAW_LIMIT:,}, got n={n}"
+            )
         self.protocol = protocol
         self.n = n
         self.seed = seed
@@ -143,6 +150,14 @@ class BatchSimulator:
         self.steps = 0
         self.stats = BatchStats()
         self._rng = np.random.default_rng(seed)
+        #: Native block kernels (:mod:`repro.engine.native`), or ``None``
+        #: for the NumPy reference path; both draw the same numbers from
+        #: ``self._rng``, so chains are identical either way.
+        self._blocks = native.load()
+        if self._blocks is not None and isinstance(
+            self.cache, KernelTransitionCache
+        ):
+            self.cache.blocks = self._blocks
         #: Optional :class:`~repro.faults.checkpoint.TrialCheckpointer`
         #: attached by the measurement layer; polled at block
         #: boundaries.  ``None`` (the default) costs one branch per
@@ -384,6 +399,8 @@ class BatchSimulator:
         interaction (the block is truncated there, so ``self.steps`` is
         the true first-hit step).
         """
+        if self._blocks is not None:
+            return self._advance_native_block(budget, leader_target)
         pairs = min(self._block_pairs, budget)
         profile = self._profile
         with profile.stage("sample"):
@@ -441,6 +458,91 @@ class BatchSimulator:
                 and self.leader_count == leader_target
             ):
                 return applied, True
+        if active == 0 and applied >= 16:
+            self._null_mode = True
+        return applied, False
+
+    def _advance_native_block(
+        self, budget: int, leader_target: int | None
+    ) -> tuple[int, bool]:
+        """:meth:`_advance_block` through the native kernels.
+
+        The same stages on the same draws: the sample stage returns the
+        collision-free prefix's pre pairs plus, for the colliding
+        interaction, each agent's pick position in the prefix (-1 when
+        fresh); a pair-table miss in ``apply_block`` resolves in Python.
+        """
+        blocks = self._blocks
+        bitgen = self._rng.bit_generator.capsule
+        profile = self._profile
+        stats = self.stats
+        with profile.stage("sample"):
+            free, collision_flat, touched0, touched1, pre0, pre1 = (
+                blocks.batch_sample(
+                    bitgen,
+                    self.n,
+                    min(self._block_pairs, budget),
+                    self._counts,
+                    len(self.interner),
+                )
+            )
+        with profile.stage("apply"):
+            post0, post1 = self._apply_pairs(pre0, pre1)
+        use = free
+        reached = False
+        # One interaction moves the leader count by at most 2, so a
+        # block can only hit a target within 2 * free of the count.
+        if (
+            leader_target is not None
+            and abs(self._lead - leader_target) <= 2 * free
+        ):
+            with profile.stage("detect"):
+                hit = blocks.batch_detect(
+                    self._leader_mark,
+                    pre0,
+                    pre1,
+                    post0,
+                    post1,
+                    self._lead,
+                    leader_target,
+                )
+                if hit:
+                    use = hit
+                    pre0, pre1 = pre0[:use], pre1[:use]
+                    post0, post1 = post0[:use], post1[:use]
+                    reached = True
+                    stats.truncated_blocks += 1
+        collide = collision_flat >= 0 and not reached and use < budget
+        # One commit span covers the block and its colliding interaction.
+        with profile.stage("commit"):
+            lead_delta, active, _ = blocks.commit(
+                self._counts,
+                self._leader_mark,
+                pre0,
+                pre1,
+                post0,
+                post1,
+                None,
+                False,
+            )
+            self._lead += lead_delta
+            self.steps += use
+            stats.blocks += 1
+            stats.block_steps += use
+            if collide:
+                pre_initiator, pre_responder = blocks.batch_collision(
+                    bitgen, touched0, touched1, post0, post1, self._counts
+                )
+                active += self._apply_single(pre_initiator, pre_responder)
+        if reached:
+            return use, True
+        applied = use + int(collide)
+        if (
+            collide
+            and leader_target is not None
+            and self.leader_count == leader_target
+        ):
+            return applied, True
         if active == 0 and applied >= 16:
             self._null_mode = True
         return applied, False

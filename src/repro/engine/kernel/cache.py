@@ -70,6 +70,7 @@ class KernelTransitionCache:
         "_wide",
         "stats",
         "profile",
+        "blocks",
     )
 
     def __init__(
@@ -120,6 +121,10 @@ class KernelTransitionCache:
         # default keeps the fill sites below unconditional (no hasattr
         # on the miss path).
         self.profile = DISABLED
+        #: Native block kernels (:mod:`repro.engine.native`) that block
+        #: engines attach when loaded: ``apply_block``'s all-hit gather
+        #: then runs in C.  ``None`` keeps the NumPy gather.
+        self.blocks = None
         self._sync_ids()
 
     # ------------------------------------------------------------------
@@ -273,6 +278,12 @@ class KernelTransitionCache:
         table0 = self._post0
         if table0 is not None and size:
             cap = self._cap
+            if self.blocks is not None:
+                posts = self.blocks.gather(table0, self._post1, cap, pre0, pre1)
+                if posts is not None:
+                    self.stats.hits += size
+                    self.stats.dense_hits += size
+                    return posts
             if (pre0 < cap).all() and (pre1 < cap).all():
                 slots = pre0 * cap + pre1
                 out0 = table0.take(slots)

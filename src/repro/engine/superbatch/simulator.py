@@ -46,6 +46,7 @@ import numpy as np
 from repro.engine.batch import BatchSimulator, BatchStats
 from repro.engine.protocol import Protocol
 from repro.engine.superbatch.sampling import (
+    GRID_WIDTH_BOUND,
     sample_run_length,
     sample_run_pairs,
     split_pair_multiset,
@@ -129,28 +130,30 @@ class SuperBatchSimulator(BatchSimulator):
             length, collided = sample_run_length(
                 rng, self.n, limit, stats=stats
             )
+            if length:
+                pre0, pre1, weight = self._sample_run_pairs(length)
         active = 0
         applied = 0
         touched = None
         if length:
-            counts = self._counts
-            with profile.stage("sample"):
-                support = np.nonzero(counts[: len(self.interner)])[0]
-                pre0, pre1, weight = sample_run_pairs(
-                    rng, support, counts[support], length, stats=stats
-                )
             with profile.stage("apply"):
                 post0, post1 = self.cache.apply_block(pre0, pre1)
             self._ensure_tables()
-            marks = self._leader_mark
-            deltas = (
-                marks[post0] + marks[post1] - marks[pre0] - marks[pre1]
-            )
-            if leader_target is not None and deltas.any():
+            truncated = None
+            # One interaction moves the leader count by at most 2, so a
+            # run can only hit a target within 2 * length of the count.
+            if (
+                leader_target is not None
+                and abs(self._lead - leader_target) <= 2 * length
+            ):
                 with profile.stage("detect"):
-                    truncated = self._truncate_run(
-                        weight, deltas, self._lead, leader_target
+                    deltas = self._run_deltas(
+                        pre0, pre1, post0, post1, weight, leader_target
                     )
+                    if deltas is not None:
+                        truncated = self._truncate_run(
+                            weight, deltas, self._lead, leader_target
+                        )
                 if truncated is not None:
                     prefix, steps = truncated
                     with profile.stage("commit"):
@@ -162,29 +165,78 @@ class SuperBatchSimulator(BatchSimulator):
                     stats.block_steps += steps
                     stats.truncated_runs += 1
                     return steps, True
-            with profile.stage("commit"):
-                touched = self._commit_weighted(
+        replay = collided and length < budget
+        # One commit span covers the run and its colliding interaction.
+        with profile.stage("commit"):
+            if length:
+                touched, active = self._commit_weighted(
                     pre0, pre1, post0, post1, weight
                 )
-            self.steps += length
-            applied = length
-            stats.blocks += 1
-            stats.block_steps += length
-            changed = (post0 != pre0) | (post1 != pre1)
-            if changed.any():
-                active = int(weight[changed].sum())
-        if collided and applied < budget:
-            applied += 1
-            with profile.stage("commit"):
+                self.steps += length
+                applied = length
+                stats.blocks += 1
+                stats.block_steps += length
+            if replay:
+                applied += 1
                 active += self._replay_collision(2 * length, touched)
-            if (
-                leader_target is not None
-                and self.leader_count == leader_target
-            ):
-                return applied, True
+        if (
+            replay
+            and leader_target is not None
+            and self.leader_count == leader_target
+        ):
+            return applied, True
         if active == 0 and applied >= 16:
             self._null_mode = True
         return applied, False
+
+    def _sample_run_pairs(
+        self, length: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The run's ordered pair multiset: :func:`sample_run_pairs` over
+        the present states, natively up to :data:`GRID_WIDTH_BOUND` of
+        them (the same draws; wider supports keep the NumPy assembly)."""
+        counts = self._counts
+        known = len(self.interner)
+        stats = self.stats
+        if self._blocks is not None:
+            sampled = self._blocks.run_pairs(
+                self._rng.bit_generator.capsule,
+                counts,
+                known,
+                length,
+                GRID_WIDTH_BOUND,
+            )
+            if sampled is not None:
+                pre0, pre1, weight, residual = sampled
+                if residual:
+                    stats.residual_runs += 1
+                    stats.residual_pairs += residual
+                return pre0, pre1, weight
+        support = np.nonzero(counts[:known])[0]
+        return sample_run_pairs(
+            self._rng, support, counts[support], length, stats=stats
+        )
+
+    def _run_deltas(
+        self,
+        pre0: np.ndarray,
+        pre1: np.ndarray,
+        post0: np.ndarray,
+        post1: np.ndarray,
+        weight: np.ndarray,
+        target: int,
+    ) -> np.ndarray | None:
+        """Per-entry leader deltas, or ``None`` when no prefix of the run
+        can hit ``target``: no delta is non-zero (natively, also when
+        the target lies outside the reachable band, the range test
+        :meth:`_truncate_run` opens with)."""
+        marks = self._leader_mark
+        if self._blocks is not None:
+            return self._blocks.run_deltas(
+                marks, pre0, pre1, post0, post1, weight, self._lead, target
+            )
+        deltas = marks[post0] + marks[post1] - marks[pre0] - marks[pre1]
+        return deltas if deltas.any() else None
 
     def _commit_weighted(
         self,
@@ -193,14 +245,28 @@ class SuperBatchSimulator(BatchSimulator):
         post0: np.ndarray,
         post1: np.ndarray,
         weight: np.ndarray,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, int]:
         """Bulk-update counts and leader tally for a weighted pair multiset.
 
         Returns the committed post-state multiset (the block's *touched*
-        agents), which the collision replay draws from.  The float64
-        ``bincount`` accumulators are exact: weights and sums stay far
-        inside the 2^53 integer range.
+        agents), which the collision replay draws from, and the weight
+        of the pairs whose states changed.  The float64 ``bincount``
+        accumulators are exact: weights and sums stay far inside the
+        2^53 integer range.
         """
+        if self._blocks is not None:
+            lead_delta, active, added = self._blocks.commit(
+                self._counts,
+                self._leader_mark,
+                pre0,
+                pre1,
+                post0,
+                post1,
+                weight,
+                True,
+            )
+            self._lead += lead_delta
+            return added, active
         size = self._counts.shape[0]
         w = weight.astype(np.float64)
         removed = np.bincount(pre0, weights=w, minlength=size)
@@ -214,7 +280,8 @@ class SuperBatchSimulator(BatchSimulator):
             self._lead += int(
                 (net[changed] * self._leader_mark[changed]).sum()
             )
-        return added.astype(np.int64)
+        moved = (post0 != pre0) | (post1 != pre1)
+        return added.astype(np.int64), int(weight[moved].sum())
 
     # ------------------------------------------------------------------
     # exact in-run leader-target truncation
@@ -271,7 +338,16 @@ class SuperBatchSimulator(BatchSimulator):
     def _replay_collision(
         self, touched_count: int, touched: np.ndarray | None
     ) -> int:
-        """Apply the interaction that ended the run; returns 1 if active.
+        """Apply the interaction that ended the run; returns 1 if active."""
+        pre_initiator, pre_responder = self._replay_draws(
+            touched_count, touched
+        )
+        return self._apply_single(pre_initiator, pre_responder)
+
+    def _replay_draws(
+        self, touched_count: int, touched: np.ndarray
+    ) -> tuple[int, int]:
+        """Pre-states of the interaction that ended the run.
 
         At least one participant is *touched* — among the run's agents,
         whose states form the post multiset ``touched`` — so its state
@@ -283,6 +359,14 @@ class SuperBatchSimulator(BatchSimulator):
         count — together the scheduler's full collision mass
         ``t(2n - t - 1)``.
         """
+        if self._blocks is not None:
+            return self._blocks.replay_draws(
+                self._rng.bit_generator.capsule,
+                self.n,
+                touched_count,
+                touched,
+                self._counts,
+            )
         rng = self._rng
         n = self.n
         t = touched_count
@@ -295,12 +379,9 @@ class SuperBatchSimulator(BatchSimulator):
             remainder[: touched.shape[0]] -= touched
             fresh_state = self._draw_one(remainder)
             if ticket < cross:
-                pre_initiator, pre_responder = touched_state, fresh_state
-            else:
-                pre_initiator, pre_responder = fresh_state, touched_state
-        else:
-            pool = touched.copy()
-            pre_initiator = self._draw_one(pool)
-            pool[pre_initiator] -= 1
-            pre_responder = self._draw_one(pool)
-        return self._apply_single(pre_initiator, pre_responder)
+                return touched_state, fresh_state
+            return fresh_state, touched_state
+        pool = touched.copy()
+        pre_initiator = self._draw_one(pool)
+        pool[pre_initiator] -= 1
+        return pre_initiator, self._draw_one(pool)

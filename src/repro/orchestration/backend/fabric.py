@@ -49,9 +49,13 @@ from repro.telemetry.heartbeat import add_beat_listener, remove_beat_listener
 
 __all__ = ["FabricReport", "run_sharded_campaign"]
 
-#: Upper bound on one starvation wait (seconds): even when the soonest
-#: lease expiry is far off, re-check this often — a sibling finishing
-#: (and writing rows) unblocks us without any lease expiring.
+#: Starvation waits (seconds) start at ``_MIN_WAIT`` and double per
+#: fruitless re-check up to ``_MAX_WAIT``; any progress (cells won, or
+#: fewer cells missing because a sibling finished some) resets them.  A
+#: sibling finishing unblocks us without any lease expiring, so short
+#: early polls keep a worker from outliving the last result by seconds,
+#: while the cap bounds the polling of a long wait.
+_MIN_WAIT = 0.05
 _MAX_WAIT = 5.0
 
 
@@ -138,6 +142,8 @@ def run_sharded_campaign(
     starved = 0
     reclaimed = 0
     by_hash = {spec.content_hash(): spec for spec in specs}
+    wait = _MIN_WAIT
+    last_missing = len(by_hash) + 1
     try:
         while True:
             done = store.completed_hashes()
@@ -155,6 +161,9 @@ def run_sharded_campaign(
             ]
             if not missing:
                 break
+            if len(missing) < last_missing:
+                wait = _MIN_WAIT
+            last_missing = len(missing)
             # Deterministic claim order (cell-sorted) gives sibling
             # workers disjoint prefixes the fastest way possible: the
             # loser of a race on hash k moves on to k+1.
@@ -179,8 +188,10 @@ def run_sharded_campaign(
                 # lease expiry, or (bounded poll) a sibling finishing.
                 starved += 1
                 expiry = manager.next_expiry()
-                sleep(min(_MAX_WAIT, expiry) if expiry else _MAX_WAIT)
+                sleep(min(wait, expiry) if expiry else wait)
+                wait = min(2 * wait, _MAX_WAIT)
                 continue
+            wait = _MIN_WAIT
             rounds += 1
             reclaimed += sum(
                 1

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ExperimentError
+from repro.orchestration.store import enable_wal
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -104,7 +105,7 @@ class LeaseManager:
             # whichever process is asking.
             self._connection = sqlite3.connect(self.path)
             self._connection.execute("PRAGMA busy_timeout = 30000")
-            self._connection.execute("PRAGMA journal_mode = WAL")
+            enable_wal(self._connection, 30000)
             self._connection.execute(_LEASE_SCHEMA)
             self._connection.commit()
             self._pid = pid

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from repro.engine.batch.sampling import COUNT_DRAW_LIMIT
 from repro.engine.protocol import Protocol
 from repro.errors import ExperimentError
 from repro.faults.plan import FaultPlan, resolve_engine
@@ -213,6 +214,20 @@ class TrialSpec:
         if max_steps is not None and max_steps < 1:
             raise ExperimentError(f"max_steps must be positive, got {max_steps}")
         plan = FaultPlan.coerce(fault_plan)
+        count_engine = engine in ("batch", "superbatch")
+        if n >= COUNT_DRAW_LIMIT and (
+            count_engine or (plan is not None and engine != "agent")
+        ):
+            drawing = (
+                f"engine {engine!r}"
+                if count_engine
+                else f"fault events on engine {engine!r}"
+            )
+            raise ExperimentError(
+                f"{drawing} sample count vectors with NumPy's "
+                f"hypergeometric draws, which support n < "
+                f"{COUNT_DRAW_LIMIT:,}; got n={n}"
+            )
         if plan is not None:
             plan.validate_against(n, max_steps)
             if not plan.exchangeable and engine != "agent":

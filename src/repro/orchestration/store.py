@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
+import time
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -48,6 +49,7 @@ __all__ = [
     "DEFAULT_BUSY_TIMEOUT_MS",
     "DEFAULT_STORE_PATH",
     "TrialStore",
+    "enable_wal",
 ]
 
 #: Where campaign outcomes land unless ``--store`` says otherwise.
@@ -74,6 +76,35 @@ def busy_timeout_ms(override: int | None = None) -> int:
         except ValueError:
             pass
     return DEFAULT_BUSY_TIMEOUT_MS
+
+
+def enable_wal(
+    connection: sqlite3.Connection,
+    timeout_ms: int,
+    sleep=time.sleep,
+    clock=time.monotonic,
+) -> None:
+    """Switch ``connection`` to WAL, retrying while the file is locked.
+
+    The busy timeout does not cover the journal-mode switch: when
+    several processes open a fresh file at once, ``PRAGMA journal_mode
+    = WAL`` can fail at once with ``database is locked`` (SQLite
+    reports the deadlock-prone lock upgrade as busy without waiting).
+    Retry with exponential backoff, 1 ms doubling to 100 ms, for at
+    most ``timeout_ms``; past that the last error propagates.
+    """
+    deadline = clock() + timeout_ms / 1000.0
+    delay = 0.001
+    while True:
+        try:
+            connection.execute("PRAGMA journal_mode = WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or clock() + delay > deadline:
+                raise
+        sleep(delay)
+        delay = min(2 * delay, 0.1)
+
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS trials (
@@ -178,7 +209,7 @@ class TrialStore(StoreBackend):
                 # In-memory stores have no journal to switch (the pragma
                 # reports "memory"); that is fine, they are single-process
                 # by construction.
-                self._connection.execute("PRAGMA journal_mode = WAL")
+                enable_wal(self._connection, timeout_ms)
                 self._connection.executescript(_SCHEMA)
                 self._connection.executescript(_FAILURES_SCHEMA)
                 self._connection.commit()

@@ -40,7 +40,7 @@ from repro.engine.batch.sampling import (
 from repro.engine.batch.simulator import BatchSimulator
 from repro.engine.multiset import MultisetSimulator
 from repro.engine.scheduler import RandomScheduler
-from repro.engine.superbatch.sampling import sample_run_length, sample_run_pairs
+from repro.engine.superbatch.sampling import sample_run_length
 from repro.engine.superbatch.simulator import SuperBatchSimulator
 from repro.errors import ScheduleError
 
@@ -213,6 +213,11 @@ class _WeightedCountsMixin:
         self._inv_wmax2 = 1.0 / (wmax * wmax)
         self._weight_of_id = np.ones(16, dtype=np.float64)
         self._weights_known = 0
+        #: Whether every proposal between known states accepts: the
+        #: lightest pair's ``w * w / wmax^2``, computed in the same
+        #: floating-point order as the per-proposal test, is at least 1
+        #: (float multiplication is monotone, so no pair rounds below).
+        self._accepts_all = True
 
     def _ensure_tables(self) -> None:
         super()._ensure_tables()
@@ -230,6 +235,8 @@ class _WeightedCountsMixin:
             for sid in range(self._weights_known, known):
                 table[sid] = weight_of.get(outputs[sid], 1.0)
             self._weights_known = known
+            lightest = float(table[:known].min())
+            self._accepts_all = lightest * lightest * self._inv_wmax2 >= 1.0
 
     def _null_skip(
         self, budget: int, leader_target: int | None
@@ -521,34 +528,31 @@ class WeightedSuperBatchSimulator(_WeightedCountsMixin, SuperBatchSimulator):
             length, collided = sample_run_length(
                 rng, self.n, limit, stats=stats
             )
+            if length:
+                pre0, pre1, weight = self._sample_run_pairs(length)
+                accepted = weight
+                if not self._accepts_all:
+                    weight_table = self._weight_of_id
+                    accept_p = (
+                        weight_table[pre0]
+                        * weight_table[pre1]
+                        * self._inv_wmax2
+                    )
+                    undecided = accept_p < 1.0
+                    if undecided.any():
+                        # Binomial(m, 1) is deterministically m: only
+                        # draw for the pair types that can reject.
+                        accepted = weight.copy()
+                        accepted[undecided] = rng.binomial(
+                            weight[undecided], accept_p[undecided]
+                        )
         active = 0
         applied = 0
         touched = None
         if length:
-            counts = self._counts
-            with profile.stage("sample"):
-                support = np.nonzero(counts[: len(self.interner)])[0]
-                pre0, pre1, weight = sample_run_pairs(
-                    rng, support, counts[support], length, stats=stats
-                )
-                weight_table = self._weight_of_id
-                accept_p = (
-                    weight_table[pre0]
-                    * weight_table[pre1]
-                    * self._inv_wmax2
-                )
-                undecided = accept_p < 1.0
-                if undecided.any():
-                    # Binomial(m, 1) is deterministically m: only draw
-                    # for the pair types whose acceptance can reject.
-                    accepted = weight.copy()
-                    accepted[undecided] = rng.binomial(
-                        weight[undecided], accept_p[undecided]
-                    )
-                else:
-                    accepted = weight
             if accepted is weight:
                 run_pre0, run_pre1, run_weight = pre0, pre1, weight
+                applied = length
             else:
                 kept = accepted > 0
                 run_pre0, run_pre1, run_weight = (
@@ -556,23 +560,33 @@ class WeightedSuperBatchSimulator(_WeightedCountsMixin, SuperBatchSimulator):
                     pre1[kept],
                     accepted[kept],
                 )
-            applied = int(run_weight.sum())
+                applied = int(run_weight.sum())
             touched_accepted = None
             if applied:
                 with profile.stage("apply"):
                     post0, post1 = self.cache.apply_block(run_pre0, run_pre1)
                 self._ensure_tables()
-                marks = self._leader_mark
-                deltas = (
-                    marks[post0]
-                    + marks[post1]
-                    - marks[run_pre0]
-                    - marks[run_pre1]
-                )
-                if leader_target is not None and deltas.any():
+                # As in the uniform engine: a hit needs the target within
+                # 2 * applied of the leader count.
+                if (
+                    leader_target is not None
+                    and abs(self._lead - leader_target) <= 2 * applied
+                ):
                     with profile.stage("detect"):
-                        truncated = self._truncate_run(
-                            run_weight, deltas, self._lead, leader_target
+                        deltas = self._run_deltas(
+                            run_pre0,
+                            run_pre1,
+                            post0,
+                            post1,
+                            run_weight,
+                            leader_target,
+                        )
+                        truncated = (
+                            None
+                            if deltas is None
+                            else self._truncate_run(
+                                run_weight, deltas, self._lead, leader_target
+                            )
                         )
                     if truncated is not None:
                         prefix, steps = truncated
@@ -586,12 +600,9 @@ class WeightedSuperBatchSimulator(_WeightedCountsMixin, SuperBatchSimulator):
                         stats.truncated_runs += 1
                         return steps, True
                 with profile.stage("commit"):
-                    touched_accepted = self._commit_weighted(
+                    touched_accepted, active = self._commit_weighted(
                         run_pre0, run_pre1, post0, post1, run_weight
                     )
-                changed = (post0 != run_pre0) | (post1 != run_pre1)
-                if changed.any():
-                    active = int(run_weight[changed].sum())
             self.steps += applied
             stats.blocks += 1
             stats.block_steps += applied
@@ -639,30 +650,17 @@ class WeightedSuperBatchSimulator(_WeightedCountsMixin, SuperBatchSimulator):
         acceptance uses the resolved pre-states.  Returns ``(chain steps
         consumed, active interactions)``.
         """
-        rng = self._rng
-        n = self.n
-        t = touched_count
-        cross = t * (n - t)
-        ticket = int(rng.integers(0, t * (2 * n - t - 1)))
-        if ticket < 2 * cross:
-            touched_state = self._draw_one(touched)
-            remainder = self._counts.copy()
-            remainder[: touched.shape[0]] -= touched
-            fresh_state = self._draw_one(remainder)
-            if ticket < cross:
-                pre_initiator, pre_responder = touched_state, fresh_state
-            else:
-                pre_initiator, pre_responder = fresh_state, touched_state
-        else:
-            pool = touched.copy()
-            pre_initiator = self._draw_one(pool)
-            pool[pre_initiator] -= 1
-            pre_responder = self._draw_one(pool)
-        weight_table = self._weight_of_id
-        accept = (
-            float(weight_table[pre_initiator] * weight_table[pre_responder])
-            * self._inv_wmax2
+        pre_initiator, pre_responder = self._replay_draws(
+            touched_count, touched
         )
-        if accept < 1.0 and float(rng.random()) >= accept:
-            return 0, 0
+        if not self._accepts_all:
+            weight_table = self._weight_of_id
+            accept = (
+                float(
+                    weight_table[pre_initiator] * weight_table[pre_responder]
+                )
+                * self._inv_wmax2
+            )
+            if accept < 1.0 and float(self._rng.random()) >= accept:
+                return 0, 0
         return 1, self._apply_single(pre_initiator, pre_responder)

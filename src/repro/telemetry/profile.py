@@ -77,38 +77,86 @@ class _StageSpan:
 
     def __exit__(self, *exc) -> bool:
         elapsed = perf_counter() - self._start
-        profile = self.profile
-        profile.seconds[self.name] = (
-            profile.seconds.get(self.name, 0.0) + elapsed
-        )
-        profile.calls[self.name] = profile.calls.get(self.name, 0) + 1
+        timer = self.profile._timers[self.name]
+        timer.seconds += elapsed
+        timer.calls += 1
         if self._trace is not None:
             self._trace.__exit__(*exc)
+        return False
+
+
+class _StageTimer:
+    """One stage's running totals, reused as its own span while no
+    tracer is attached: the enabled hot path allocates nothing and
+    reads the clock twice per stage."""
+
+    __slots__ = ("seconds", "calls", "_start", "_open")
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.calls = 0
+        self._open = False
+
+    def __enter__(self) -> "_StageTimer":
+        self._open = True
+        self._start = perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.seconds += perf_counter() - self._start
+        self.calls += 1
+        self._open = False
         return False
 
 
 class StageProfile:
     """Per-stage wall-clock totals with a free disabled path."""
 
-    __slots__ = ("enabled", "seconds", "calls", "tracer")
+    __slots__ = ("enabled", "tracer", "_timers")
 
     def __init__(self, enabled: bool) -> None:
         self.enabled = enabled
-        self.seconds: dict[str, float] = {}
-        self.calls: dict[str, int] = {}
         self.tracer = None
+        self._timers: dict[str, _StageTimer] = {}
 
     def stage(self, name: str):
         if not self.enabled:
             return _NULL
+        timer = self._timers.get(name)
+        if timer is None:
+            timer = self._timers[name] = _StageTimer()
+        if self.tracer is None and not timer._open:
+            return timer
+        # Traced, or the stage re-entered inside itself: a span of its
+        # own that adds into the same totals.
         return _StageSpan(self, name)
+
+    @property
+    def seconds(self) -> dict[str, float]:
+        """Wall-clock seconds per stage that has closed at least once."""
+        return {
+            name: timer.seconds
+            for name, timer in self._timers.items()
+            if timer.calls
+        }
+
+    @property
+    def calls(self) -> dict[str, int]:
+        """Closed spans per stage."""
+        return {
+            name: timer.calls
+            for name, timer in self._timers.items()
+            if timer.calls
+        }
 
     def event(
         self, engine: str, protocol: str, n: int, seed, steps: int
     ) -> dict | None:
         """The ``profile`` sink event for one finished trial."""
-        if not self.seconds:
+        seconds = self.seconds
+        if not seconds:
             return None
+        calls = self.calls
         return {
             "event": "profile",
             "engine": engine,
@@ -118,10 +166,10 @@ class StageProfile:
             "steps": steps,
             "stages": {
                 name: {
-                    "seconds": round(seconds, 9),
-                    "calls": self.calls.get(name, 0),
+                    "seconds": round(total, 9),
+                    "calls": calls[name],
                 }
-                for name, seconds in sorted(self.seconds.items())
+                for name, total in sorted(seconds.items())
             },
         }
 

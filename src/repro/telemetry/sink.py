@@ -32,6 +32,33 @@ EVENTS_ENV = "REPRO_TELEMETRY_EVENTS"
 QUIET_ENV = "REPRO_TELEMETRY_QUIET"
 
 
+#: ``json.dumps(event, sort_keys=True, separators=(",", ":"))`` without
+#: building a new encoder per event (span-heavy traces emit thousands).
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def span_line(
+    name: str,
+    cat: str,
+    span_id: str,
+    parent: str | None,
+    pid: int,
+    ts: float,
+    dur: float,
+) -> str:
+    """``_ENCODE`` of an argument-free span event, formatted directly:
+    the same sorted keys, separators, ASCII escaping and float reprs."""
+    parent_json = "null" if parent is None else _quote(parent)
+    return (
+        f'{{"cat":{_quote(cat)},"dur":{dur!r},"event":"span",'
+        f'"name":{_quote(name)},"parent":{parent_json},"pid":{pid},'
+        f'"span_id":{_quote(span_id)},"ts":{ts!r}}}'
+    )
+
+
 class EventSink:
     """Append telemetry events as JSON lines; optionally echo to stderr."""
 
@@ -52,24 +79,44 @@ class EventSink:
         stderr warning and the sink disables its file output.
         """
         if self.path is not None:
-            line = json.dumps(event, sort_keys=True, separators=(",", ":"))
-            try:
-                if self._stream is None:
-                    # buffering=0 on a binary handle: every write() below
-                    # is one OS-level append of the complete line.
-                    self._stream = open(self.path, "ab", buffering=0)
-                self._stream.write((line + "\n").encode("utf-8"))
-            except OSError as exc:
-                print(
-                    f"telemetry: cannot append to {self.path!r} ({exc}); "
-                    "event file disabled",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                self.path = None
-                self.close()
+            self.write_line(_ENCODE(event))
         if self.echo and event.get("event") == "heartbeat":
             print(_heartbeat_line(event), file=sys.stderr, flush=True)
+
+    def emit_span(
+        self,
+        name: str,
+        cat: str,
+        span_id: str,
+        parent: str | None,
+        pid: int,
+        ts: float,
+        dur: float,
+    ) -> None:
+        """Write an argument-free span event: the line :meth:`emit`
+        would write for it, formatted without building the dict."""
+        if self.path is not None:
+            self.write_line(span_line(name, cat, span_id, parent, pid, ts, dur))
+
+    def write_line(self, line: str) -> None:
+        """Append one already-encoded event line (no stderr echo)."""
+        if self.path is None:
+            return
+        try:
+            if self._stream is None:
+                # buffering=0 on a binary handle: every write() below
+                # is one OS-level append of the complete line.
+                self._stream = open(self.path, "ab", buffering=0)
+            self._stream.write((line + "\n").encode("utf-8"))
+        except OSError as exc:
+            print(
+                f"telemetry: cannot append to {self.path!r} ({exc}); "
+                "event file disabled",
+                file=sys.stderr,
+                flush=True,
+            )
+            self.path = None
+            self.close()
 
     def close(self) -> None:
         """Release the file handle (emission reopens on demand)."""

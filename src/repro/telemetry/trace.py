@@ -126,10 +126,13 @@ class Tracer:
     between the orchestration layer and the engines.
     """
 
-    __slots__ = ("sink", "limit", "emitted", "dropped", "pid")
+    __slots__ = ("sink", "limit", "emitted", "dropped", "pid", "_emit_span")
 
     def __init__(self, sink, limit: int | None = None) -> None:
         self.sink = sink
+        #: The sink's direct span writer, when it has one (EventSink);
+        #: other sinks receive every span as an event dict.
+        self._emit_span = getattr(sink, "emit_span", None)
         self.limit = _span_limit() if limit is None else limit
         self.emitted = 0
         self.dropped = 0
@@ -141,6 +144,23 @@ class Tracer:
     def _emit(self, span: _TraceSpan, duration: float) -> None:
         if span.cat == "stage" and self.emitted >= self.limit:
             self.dropped += 1
+            return
+        if (
+            self._emit_span is not None
+            and not span.args
+            and not (self.dropped and span.cat != "stage")
+        ):
+            # Stage spans, the bulk of a trace, skip the event dict.
+            self.emitted += 1
+            self._emit_span(
+                span.name,
+                span.cat,
+                span.span_id,
+                span.parent,
+                self.pid,
+                round(span._start, 6),
+                round(duration, 9),
+            )
             return
         event = {
             "event": "span",

@@ -130,6 +130,37 @@ class TestWorkerLoop:
         assert report.executed == 1
         assert sleeps  # it actually waited for the expiry
 
+    def test_starvation_wait_backs_off_and_resets_after_progress(
+        self, tmp_path
+    ):
+        first, second = specs_for(2)
+        root = tmp_path / "root"
+        root.mkdir()
+        # A live sibling holds every cell under a long lease.
+        sibling = LeaseManager(root / "leases.sqlite", "sibling", ttl_secs=600)
+        sibling.claim([first.content_hash(), second.content_hash()])
+        sleeps = []
+
+        def sleep(secs):
+            sleeps.append(secs)
+            if len(sleeps) == 8:
+                # The sibling finishes one cell: progress, no expiry.
+                with ShardedStore(root, worker="sibling") as shard:
+                    shard.put(first, execute_trial(first))
+            elif len(sleeps) == 10:
+                sibling.release([second.content_hash()])
+
+        report = run_sharded_campaign(
+            [first, second], root, worker="w", sleep=sleep
+        )
+        sibling.close()
+        # 50 ms doubling to the 5 s cap, back to 50 ms after progress.
+        assert sleeps == pytest.approx(
+            [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 0.05, 0.1]
+        )
+        assert report.starved_rounds == 10
+        assert report.executed == 1
+
     def test_rejects_empty_worker(self, tmp_path):
         with pytest.raises(ExperimentError, match="worker"):
             run_sharded_campaign(specs_for(1), tmp_path / "root", worker="")

@@ -6,17 +6,23 @@ it and hammer one store from four concurrent writers to prove the
 ``database is locked`` era stays closed.
 """
 
+import multiprocessing
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.orchestration.backend.leases import LeaseManager
 from repro.orchestration.spec import TrialOutcome, TrialSpec
 from repro.orchestration.store import (
     BUSY_TIMEOUT_ENV,
     DEFAULT_BUSY_TIMEOUT_MS,
     TrialStore,
     busy_timeout_ms,
+    enable_wal,
 )
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -125,3 +131,87 @@ class TestConcurrentWriters:
             assert store.failures() == []
             seeds = {row["seed"] for row in store.rows()}
             assert seeds == set(range(workers * per_worker))
+
+
+class _LockedOnce:
+    """A connection whose first ``failures`` WAL switches report busy."""
+
+    def __init__(self, failures, message="database is locked"):
+        self.failures = failures
+        self.message = message
+        self.calls = 0
+
+    def execute(self, sql):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise sqlite3.OperationalError(self.message)
+
+
+class TestWalSwitchRetry:
+    def test_retries_with_backoff_until_the_switch_succeeds(self):
+        connection = _LockedOnce(failures=4)
+        sleeps = []
+        enable_wal(connection, 30000, sleep=sleeps.append)
+        assert connection.calls == 5
+        assert sleeps == pytest.approx([0.001, 0.002, 0.004, 0.008])
+
+    def test_gives_up_once_the_busy_timeout_is_spent(self):
+        ticks = iter(range(100))
+        connection = _LockedOnce(failures=100)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            enable_wal(
+                connection,
+                3000,
+                sleep=lambda secs: None,
+                clock=lambda: float(next(ticks)),
+            )
+        assert connection.calls < 10
+
+    def test_other_errors_propagate_at_once(self):
+        connection = _LockedOnce(failures=1, message="disk I/O error")
+        with pytest.raises(sqlite3.OperationalError, match="disk"):
+            enable_wal(connection, 30000, sleep=lambda secs: None)
+        assert connection.calls == 1
+
+
+def _open_fresh_files(kind, root, rounds, barrier, worker, failures):
+    """Open ``rounds`` fresh files in step with the sibling processes."""
+    failed = 0
+    for index in range(rounds):
+        path = os.path.join(root, f"{kind}-{index}.sqlite")
+        barrier.wait(timeout=60)
+        try:
+            if kind == "leases":
+                manager = LeaseManager(path, f"w{worker}")
+                manager.claim(["a", "b"])
+                manager.close()
+            else:
+                TrialStore(path).close()
+        except sqlite3.Error:
+            failed += 1
+    failures.put(failed)
+
+
+class TestFreshFileRace:
+    """Several processes opening one fresh file at once all get WAL."""
+
+    @pytest.mark.parametrize("kind", ["leases", "store"])
+    def test_four_processes_open_fresh_files_together(self, tmp_path, kind):
+        context = multiprocessing.get_context("fork")
+        workers, rounds = 4, 400
+        barrier = context.Barrier(workers)
+        failures = context.Queue()
+        procs = [
+            context.Process(
+                target=_open_fresh_files,
+                args=(kind, str(tmp_path), rounds, barrier, worker, failures),
+            )
+            for worker in range(workers)
+        ]
+        for proc in procs:
+            proc.start()
+        failed = [failures.get(timeout=120) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=60)
+        assert all(proc.exitcode == 0 for proc in procs)
+        assert sum(failed) == 0

@@ -38,6 +38,15 @@ class TestStageProfile:
         assert set(profile.seconds) == {"sample", "apply"}
         assert all(seconds >= 0.0 for seconds in profile.seconds.values())
 
+    def test_stage_reentered_inside_itself_counts_both_spans(self):
+        profile = StageProfile(enabled=True)
+        with profile.stage("commit"):
+            with profile.stage("commit"):
+                pass
+        with profile.stage("commit"):
+            pass
+        assert profile.calls == {"commit": 3}
+
     def test_disabled_profile_is_a_shared_noop(self):
         with DISABLED.stage("sample"):
             pass

@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.telemetry.core import TELEMETRY_ENV
-from repro.telemetry.sink import EVENTS_ENV, EventSink, QUIET_ENV
+from repro.telemetry.sink import EVENTS_ENV, EventSink, QUIET_ENV, span_line
 from repro.telemetry.trace import (
     SPAN_LIMIT_ENV,
     TRACE_ENV,
@@ -193,6 +195,29 @@ class TestEventFileRoundTrip:
         assert validate_chrome_trace(payload) == []
         # The export is plain JSON-serializable.
         json.dumps(payload)
+
+
+    @pytest.mark.parametrize("parent", [None, "12-3", "\u00e9-1"])
+    @pytest.mark.parametrize("name", ["sample", "kernel_fill", 'odd "na\u00efve"'])
+    @pytest.mark.parametrize("dur", [0.0, 1e-09, 0.000123456789, 12.5])
+    def test_direct_span_lines_match_the_generic_encoding(
+        self, parent, name, dur
+    ):
+        """The sink's dict-free span writer emits the exact line the
+        generic event encoding would."""
+        ts = 1760000000.123456
+        event = {
+            "event": "span",
+            "name": name,
+            "cat": "stage",
+            "span_id": "99-7",
+            "parent": parent,
+            "pid": 99,
+            "ts": ts,
+            "dur": dur,
+        }
+        line = span_line(name, "stage", "99-7", parent, 99, ts, dur)
+        assert line == json.dumps(event, sort_keys=True, separators=(",", ":"))
 
 
 class TestTracedRunByteIdentity:
